@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.types import BdAddr, ClassOfDevice, IoCapability, LinkKey
+from repro.core.types import BdAddr, IoCapability, LinkKey
 from repro.devices.device import Device
 from repro.host.storage import BondingRecord
 
@@ -22,7 +22,6 @@ class Attacker:
 
     def __init__(self, device: Device) -> None:
         self.device = device
-        self.original_addr = device.bd_addr
 
     # ------------------------------------------------------------- spoofing
 
@@ -50,13 +49,6 @@ class Attacker:
             class_of_device=victim.controller.class_of_device,
             name=victim.controller.local_name,
         )
-
-    def restore_identity(self) -> None:
-        self.device.set_bd_addr(self.original_addr)
-
-    def pose_as_handsfree(self) -> None:
-        """The Fig. 8 COD rewrite: mobile type → hands-free type."""
-        self.device.set_class_of_device(ClassOfDevice.HANDSFREE)
 
     # --------------------------------------------------------- stack patches
 
@@ -112,6 +104,3 @@ class Attacker:
         """Enter page scan so pages for the spoofed address reach us."""
         self.device.host.gap.set_scan_mode(connectable=True, discoverable=False)
 
-    def go_dark(self) -> None:
-        """Leave all scan modes (invisible)."""
-        self.device.host.gap.set_scan_mode(connectable=False, discoverable=False)

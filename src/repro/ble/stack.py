@@ -210,15 +210,6 @@ class BleStack:
                 self._rng.uniform(0.0, adv_interval_s), self._advertise_tick
             )
 
-    def power_off(self) -> None:
-        self.powered = False
-        if self._adv_event is not None:
-            self._adv_event.cancel()
-            self._adv_event = None
-        for conn in list(self._conns.values()):
-            self.medium.drop_link(conn.link, 0x15)
-        self.medium.unregister_le(self)
-
     def _advertise_tick(self) -> None:
         if not self.powered or not self.le_connectable:
             self._adv_event = None
@@ -471,10 +462,6 @@ class BleStack:
             ct2=ct2,
         )
         return link_key
-
-    def install_ltk(self, peer_addr: BdAddr, ltk: LinkKey, origin: str = "ctkd") -> None:
-        """Install LE bond material directly (the attacker's pivot path)."""
-        self.security.set_le_bond(peer_addr, ltk, origin=origin)
 
     # -- link encryption ---------------------------------------------------
 

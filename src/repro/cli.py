@@ -34,8 +34,9 @@ Android bug report) and on raw USB analyzer streams:
 * ``blap query {runs,events,alerts,telemetry}`` — typed filters
   (time-range, device/source, span type, detector, seed) with
   pagination and aggregate counts over the store.
-* ``blap serve`` — a dependency-free HTTP JSON API and live HTML view
-  over the store (``/api/runs``, ``/api/runs/<id>/events``, ...).
+* ``blap serve`` — the store's HTTP JSON API and live HTML view
+  (``/api/runs``, ``/api/runs/<id>/events``, ...): an alias for the
+  ingest server of ``blap service serve`` with a store attached.
 * ``blap service {serve,loadgen,sessions}`` — the detection ingest
   service: live JSONL HCI streams over WebSockets and btsnoop capture
   uploads, scored online with verdicts identical to ``detect scan``;
@@ -1102,8 +1103,8 @@ def _cmd_query_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.server import run_server
     from repro.store import RunStore
-    from repro.store.server import serve
 
     with RunStore(args.db or None) as store:
 
@@ -1112,10 +1113,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # the bound URL even with --port 0 (ephemeral).
             print(f"serving {store.path} at {server.url}", flush=True)
 
-        serve(
-            store,
+        run_server(
             host=args.host,
             port=args.port,
+            store=store,
             verbose=args.verbose,
             ready=_ready,
         )
@@ -1126,8 +1127,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_service_serve(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
     from repro.service.server import run_server
     from repro.service.session import SessionConfig
+    from repro.store import RunStore
 
     defaults = SessionConfig(
         window=args.window, queue_size=args.queue_size
@@ -1139,19 +1143,9 @@ def _cmd_service_serve(args: argparse.Namespace) -> int:
         print(f"ingest service at {server.url} (ws: {server.ws_url})",
               flush=True)
 
-    if args.db is None:
-        run_server(
-            host=args.host,
-            port=args.port,
-            idle_timeout_s=args.idle_timeout,
-            defaults=defaults,
-            verbose=args.verbose,
-            ready=_ready,
-        )
-        return 0
-    from repro.store import RunStore
-
-    with RunStore(args.db or None) as store:
+    with (
+        nullcontext() if args.db is None else RunStore(args.db or None)
+    ) as store:
         run_server(
             host=args.host,
             port=args.port,
@@ -2112,7 +2106,9 @@ def build_parser() -> argparse.ArgumentParser:
     qtel.set_defaults(func=_cmd_query_telemetry)
 
     serve = sub.add_parser(
-        "serve", help="HTTP JSON API + live HTML view over the store"
+        "serve",
+        help="HTTP JSON API + live HTML view over the store (alias for "
+        "'service serve' with a store attached)",
     )
     _add_db_arg(serve)
     serve.add_argument("--host", default="127.0.0.1")
@@ -2122,7 +2118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "printed either way)",
     )
     serve.add_argument(
-        "-v", "--verbose", action="store_true", help="log requests"
+        "-v", "--verbose", action="store_true",
+        help="log requests and sessions",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -2144,8 +2141,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svserve.add_argument(
         "--db", nargs="?", const="", default=None, metavar="DB",
-        help="archive session alerts into this run store and allow "
-        "store-sourced sessions (bare --db uses the default store)",
+        help="archive session alerts into this run store, allow "
+        "store-sourced sessions and serve its /api/runs routes (bare "
+        "--db uses the default store)",
     )
     svserve.add_argument(
         "--idle-timeout", type=float, default=300.0, metavar="S",
@@ -2161,7 +2159,8 @@ def build_parser() -> argparse.ArgumentParser:
         "into dropped_events)",
     )
     svserve.add_argument(
-        "-v", "--verbose", action="store_true", help="log sessions"
+        "-v", "--verbose", action="store_true",
+        help="log requests and sessions",
     )
     svserve.set_defaults(func=_cmd_service_serve)
 

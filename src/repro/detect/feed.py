@@ -94,10 +94,6 @@ class DetectionFeed:
             self._subscribers.append(sink)
         return self
 
-    def unsubscribe(self, sink: EventSink) -> None:
-        if sink in self._subscribers:
-            self._subscribers.remove(sink)
-
     def publish(self, event: DetectionEvent) -> None:
         """Deliver one event to every subscriber (also the tap target)."""
         self.events_published += 1

@@ -244,11 +244,6 @@ class Device:
             )
         return self._hci_dump
 
-    def disable_hci_snoop(self) -> None:
-        if self._hci_dump is not None:
-            self._hci_dump.detach()
-            self._hci_dump = None
-
     def _flush_snoop_to_fs(self) -> None:
         if self._hci_dump is None or self.snoop_path is None:
             return

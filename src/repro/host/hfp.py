@@ -110,9 +110,6 @@ class HfpProfile:
         if event.status == 0:
             self.audio_connected = True
 
-    def hang_up_audio(self) -> None:
-        self.audio_connected = False
-
     def ring(self, number: str) -> None:
         """An incoming call on the gateway: notify connected HF units."""
         self.call_log.append(CallRecord(number=number, direction="incoming"))

@@ -125,9 +125,6 @@ class PhysicalLink:
             return self.initiator
         raise ValueError(f"{controller.name} is not on link {self.link_id}")
 
-    def involves(self, controller: RadioPeer) -> bool:
-        return controller is self.initiator or controller is self.responder
-
 
 @dataclass(frozen=True)
 class InquiryResponse:
@@ -175,7 +172,6 @@ class RadioMedium:
     ) -> None:
         self.simulator = simulator
         self.rng = rng.stream("radio-medium")
-        self._rng_registry = rng  # child streams for the loss_rate shim
         self.tracer = tracer if tracer is not None else Tracer()
         if metrics is None:
             from repro.obs.metrics import get_global_registry
@@ -217,8 +213,6 @@ class RadioMedium:
         # Lost frames still reach passive sniffers — they were
         # transmitted — but never the intended receiver.
         self._frame_fault_filters: List[FrameFaultFilter] = []
-        self._loss_shim = None  # registry behind the deprecated loss_rate
-        self._loss_shim_rate = 0.0
         self.frames_lost = 0
 
     # -- registration ------------------------------------------------------
@@ -245,11 +239,6 @@ class RadioMedium:
     def register_le(self, peer: "LePeer") -> None:
         if peer not in self._le_peers:
             self._le_peers.append(peer)
-            self._le_addr_index = None
-
-    def unregister_le(self, peer: "LePeer") -> None:
-        if peer in self._le_peers:
-            self._le_peers.remove(peer)
             self._le_addr_index = None
 
     def notify_le_addr_changed(self, peer: Optional["LePeer"] = None) -> None:
@@ -316,10 +305,6 @@ class RadioMedium:
         if fault_filter not in self._frame_fault_filters:
             self._frame_fault_filters.append(fault_filter)
 
-    def remove_frame_fault_filter(self, fault_filter: FrameFaultFilter) -> None:
-        if fault_filter in self._frame_fault_filters:
-            self._frame_fault_filters.remove(fault_filter)
-
     def _fault_fate(self, frame: AirFrame) -> FrameFate:
         """Combined filter verdict for a link-less frame (page traffic).
 
@@ -333,32 +318,6 @@ class RadioMedium:
                 return FrameFate(action="drop")
             extra += fate.extra_delay_s
         return FrameFate(extra_delay_s=extra)
-
-    @property
-    def loss_rate(self) -> float:
-        """Deprecated: the per-frame loss probability shim.
-
-        Assigning builds the equivalent probabilistic
-        ``phy.frame_loss`` :class:`~repro.faults.spec.FaultSpec` under
-        a ``DeprecationWarning``; pass ``WorldConfig.fault_plan``
-        instead.
-        """
-        return self._loss_shim_rate
-
-    @loss_rate.setter
-    def loss_rate(self, probability: float) -> None:
-        import warnings
-
-        warnings.warn(
-            "RadioMedium.loss_rate is deprecated; use a phy.frame_loss "
-            "FaultSpec via WorldConfig.fault_plan instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.faults import set_medium_loss_rate
-
-        self._loss_shim_rate = probability
-        set_medium_loss_rate(self, probability)
 
     # -- inquiry -----------------------------------------------------------
 

@@ -1,7 +1,9 @@
-"""The ingest front-end: asyncio HTTP + WebSocket detection service.
+"""The one HTTP front-end: asyncio HTTP + WebSocket detection service.
 
-:class:`IngestServer` is the serving half of :mod:`repro.detect` —
-standard library only, like ``blap serve``.  Routes:
+:class:`IngestServer` is the serving half of :mod:`repro.detect`, and
+with a run store attached also serves the store's JSON API and HTML
+view (:mod:`repro.store.routes`) — ``blap service serve`` and ``blap
+serve`` both run it.  Standard library only.  Routes:
 
 * ``GET /healthz`` — liveness;
 * ``GET /api/metrics`` — merged service metrics + per-tenant snapshots
@@ -20,7 +22,13 @@ standard library only, like ``blap serve``.  Routes:
 * ``POST /api/sessions`` — JSON ``{"run_id": ...}``: replay an
   archived run out of the attached store through a fresh session;
 * ``GET /ws/ingest`` — the long-lived streaming path (wire protocol in
-  :mod:`repro.service.protocol`).
+  :mod:`repro.service.protocol`);
+* ``GET /api/runs…``, ``GET /`` and ``GET /run/<id>`` — the run
+  store's routes (:mod:`repro.store.routes`); 400 without a store.
+
+Malformed client input (request line, headers, ``Content-Length``,
+query parameters) is a 4xx with an ``{"error": ...}`` body — never a
+500 or a dropped connection.
 
 Each WebSocket stream gets a bounded queue between the socket reader
 and the scoring worker.  When the queue is full the event is *shed* —
@@ -36,8 +44,9 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro.detect.base import detector_names
 from repro.service import protocol
 from repro.service.session import Session, SessionConfig, SessionManager
 from repro.service.websocket import (
@@ -45,9 +54,10 @@ from repro.service.websocket import (
     WebSocketError,
     handshake_response,
 )
-
-if TYPE_CHECKING:
-    from repro.store import RunStore
+from repro.store import RunStore
+from repro.store import routes as store_routes
+from repro.store.query import params_from_query_string
+from repro.store.replay import detection_events_for_run
 
 #: request line + headers are bounded; bodies use Content-Length
 MAX_HEADER_BYTES = 64 * 1024
@@ -60,6 +70,31 @@ EVICTION_TICK_S = 30.0
 
 #: the event a WS worker treats as end-of-stream
 _FINISH = object()
+
+JSON_TYPE = "application/json"
+HTML_TYPE = "text/html; charset=utf-8"
+PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    413: "Content Too Large",
+    431: "Request Header Fields Too Large",
+}
+
+#: what a bad session parameter raises (bad int, unknown detector, …)
+_BAD_PARAMS = (ValueError, KeyError, TypeError)
+
+_NO_STORE = {"error": "no run store attached (start with --db)"}
+
+
+class HttpError(Exception):
+    """A client-caused request error: answered with ``status``."""
+
+    def __init__(self, status: int, reason: str) -> None:
+        super().__init__(reason)
+        self.status = status
 
 
 def enqueue_or_shed(
@@ -81,7 +116,7 @@ def enqueue_or_shed(
 
 
 class _HttpRequest:
-    """One parsed request: method, path, query, headers, body."""
+    """One parsed request: method, path, query params, headers, body."""
 
     def __init__(
         self,
@@ -95,21 +130,16 @@ class _HttpRequest:
         self.path = path
         self.headers = headers
         self.body = body
-        self.query: Dict[str, str] = {}
-        if query_string:
-            for pair in query_string.split("&"):
-                key, _, value = pair.partition("=")
-                if key:
-                    self.query[key] = value
+        self.params = params_from_query_string(query_string)
 
 
 class IngestServer:
-    """The asyncio detection-ingest service (``blap service serve``)."""
+    """The asyncio ingest service (``blap service serve``, ``blap serve``)."""
 
     def __init__(
         self,
         manager: Optional[SessionManager] = None,
-        store: Optional["RunStore"] = None,
+        store: Optional[RunStore] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         idle_timeout_s: Optional[float] = None,
@@ -191,7 +221,12 @@ class IngestServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except HttpError as exc:
+                self._log(f"bad request: {exc}")
+                await self._respond(writer, exc.status, {"error": str(exc)})
+                return
             if request is None:
                 return
             if (
@@ -202,13 +237,22 @@ class IngestServer:
                 return
             if request.path == "/metrics" and request.method == "GET":
                 # Prometheus text exposition, not JSON — the one route
-                # real scrapers hit, so it bypasses _respond_json.
-                await self._respond_text(
-                    writer, 200, self.manager.prometheus_metrics()
+                # real scrapers hit.
+                await self._respond(
+                    writer,
+                    200,
+                    self.manager.prometheus_metrics(),
+                    PROMETHEUS_TYPE,
                 )
                 return
-            status, payload = await self._route(request)
-            await self._respond_json(writer, status, payload)
+            status, payload = self._route(request)
+            self._log(f"{request.method} {request.path} {status}")
+            await self._respond(
+                writer,
+                status,
+                payload,
+                HTML_TYPE if isinstance(payload, str) else JSON_TYPE,
+            )
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except WebSocketError as exc:
@@ -216,9 +260,7 @@ class IngestServer:
         except Exception as exc:  # the server must never die on one conn
             self._log(f"internal error: {exc!r}")
             try:
-                await self._respond_json(
-                    writer, 500, {"error": "internal error"}
-                )
+                await self._respond(writer, 500, {"error": "internal error"})
             except (ConnectionError, RuntimeError):
                 pass
         finally:
@@ -230,76 +272,69 @@ class IngestServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[_HttpRequest]:
-        request_line = await reader.readline()
-        if not request_line:
-            return None
+        """One request off the wire, or ``None`` if the peer sent nothing.
+
+        Malformed input raises :class:`HttpError`: 400 for a bad
+        request line or ``Content-Length``, 413 for an oversize body,
+        431 for oversize headers.
+        """
         try:
-            method, target, _ = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            raise WebSocketError(
-                f"bad request line: {request_line[:80]!r}"
-            ) from None
-        headers: Dict[str, str] = {}
-        total = len(request_line)
-        while True:
-            line = await reader.readline()
-            total += len(line)
-            if total > MAX_HEADER_BYTES:
-                raise WebSocketError("request headers too large")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", "0") or "0")
+            request_line = await reader.readline()
+            if not request_line:
+                return None
+            parts = request_line.decode("latin-1").strip().split(" ", 2)
+            if len(parts) != 3:
+                raise HttpError(
+                    400, f"bad request line: {request_line[:80]!r}"
+                )
+            method, target, _ = parts
+            headers: Dict[str, str] = {}
+            total = len(request_line)
+            while True:
+                line = await reader.readline()
+                total += len(line)
+                if total > MAX_HEADER_BYTES:
+                    raise HttpError(431, "request headers too large")
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # one line beyond the stream's buffer limit
+            raise HttpError(431, "request headers too large") from None
+        length_text = headers.get("content-length", "0") or "0"
+        if not length_text.isdecimal():
+            raise HttpError(400, f"bad Content-Length {length_text[:40]!r}")
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
-            raise WebSocketError(f"request body too large ({length} bytes)")
-        if length:
-            body = await reader.readexactly(length)
+            raise HttpError(413, f"request body too large ({length} bytes)")
+        body = await reader.readexactly(length) if length else b""
         return _HttpRequest(method.upper(), target, headers, body)
 
-    async def _respond_json(
+    async def _respond(
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: Dict[str, Any],
+        body: Any,
+        content_type: str = JSON_TYPE,
     ) -> None:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found"}
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        """Write one response; a JSON ``body`` is encoded here."""
+        if content_type == JSON_TYPE:
+            body = json.dumps(body, sort_keys=True)
+        data = body.encode("utf-8")
         head = (
-            f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n"
             "Connection: close\r\n"
             "\r\n"
         ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
-
-    async def _respond_text(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body_text: str,
-    ) -> None:
-        body = body_text.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {'OK' if status == 200 else 'Error'}\r\n"
-            "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
+        writer.write(head + data)
         await writer.drain()
 
     # --------------------------------------------------------------- routing
 
-    async def _route(
-        self, request: _HttpRequest
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _route(self, request: _HttpRequest) -> Tuple[int, Any]:
+        """``(status, JSON dict)``, or an HTML ``str`` for store pages."""
         path, method = request.path, request.method
         if path == "/healthz" and method == "GET":
             return 200, {
@@ -324,12 +359,25 @@ class IngestServer:
             return self._handle_capture(request)
         if path == "/api/sessions" and method == "POST":
             return self._handle_store_session(request)
-        return 404, {"error": f"no route for {method} {path}"}
+        found = store_routes.resolve(path) if method == "GET" else None
+        if found is None:
+            return 404, {"error": f"no route for {method} {path}"}
+        if self.store is None:
+            return 400, _NO_STORE
+        handler, run_id = found
+        try:
+            return handler(self.store, run_id, request.params)
+        except ValueError as exc:  # a bad store filter
+            return 400, {"error": str(exc)}
 
     def _session_config(
         self, params: Dict[str, Any], monitor_default: str
     ) -> SessionConfig:
-        """Session overrides from query params / a JSON body / a hello."""
+        """Session overrides from query params / a JSON body / a hello.
+
+        Raises one of ``_BAD_PARAMS`` on a bad value, before any
+        session is opened.
+        """
         config = self.manager.defaults
         overrides: Dict[str, Any] = {}
         tenant = params.get("tenant")
@@ -341,6 +389,9 @@ class IngestServer:
                 detectors = [
                     name for name in detectors.split(",") if name
                 ]
+            unknown = set(detectors) - set(detector_names())
+            if unknown:
+                raise ValueError(f"unknown detector(s) {sorted(unknown)}")
             overrides["detectors"] = list(detectors)
         overrides["monitor"] = str(params.get("monitor") or monitor_default)
         for key in ("window", "max_events", "queue_size"):
@@ -360,8 +411,8 @@ class IngestServer:
         except protocol.CaptureError as exc:
             return 400, {"error": str(exc)}
         try:
-            config = self._session_config(request.query, "capture")
-        except (ValueError, KeyError) as exc:
+            config = self._session_config(request.params, "capture")
+        except _BAD_PARAMS as exc:
             return 400, {"error": f"bad session parameters: {exc}"}
         session = self.manager.open(config)
         span = self.manager.obs.spans.begin(
@@ -388,7 +439,7 @@ class IngestServer:
     ) -> Tuple[int, Dict[str, Any]]:
         """Replay an archived run out of the store through a session."""
         if self.store is None:
-            return 400, {"error": "no run store attached (start with --db)"}
+            return 400, _NO_STORE
         try:
             params = json.loads(request.body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, ValueError) as exc:
@@ -400,10 +451,8 @@ class IngestServer:
             return 400, {"error": "missing run_id"}
         try:
             config = self._session_config(params, "store")
-        except (ValueError, KeyError, TypeError) as exc:
+        except _BAD_PARAMS as exc:
             return 400, {"error": f"bad session parameters: {exc}"}
-        from repro.store.replay import detection_events_for_run
-
         try:
             events = list(
                 detection_events_for_run(
@@ -452,7 +501,7 @@ class IngestServer:
                 return
             try:
                 config = self._session_config(hello, "capture")
-            except (ValueError, KeyError, TypeError) as exc:
+            except _BAD_PARAMS as exc:
                 await ws.send_json(
                     protocol.error_frame(f"bad session parameters: {exc}")
                 )
@@ -546,7 +595,7 @@ class IngestServer:
 def run_server(
     host: str = "127.0.0.1",
     port: int = 8322,
-    store: Optional["RunStore"] = None,
+    store: Optional[RunStore] = None,
     idle_timeout_s: float = 300.0,
     defaults: Optional[SessionConfig] = None,
     verbose: bool = False,

@@ -14,8 +14,9 @@ bluTruth storage-layer/interface-layer split:
 * :mod:`repro.store.ingest` — live exporter hooks
   (:func:`export_world_timeline`, :class:`StoreTelemetrySink`) and
   ``blap store ingest`` backfill (:func:`ingest_run_dir`);
-* :mod:`repro.store.server` — the ``blap serve`` HTTP JSON API and
-  live HTML view;
+* :mod:`repro.store.routes` — the HTTP JSON API and live HTML view,
+  mounted by :class:`repro.service.server.IngestServer` (``blap
+  serve``);
 * :mod:`repro.store.replay` — archived run → detection-event stream
   (:func:`detection_events_for_run`), feeding store-sourced
   :mod:`repro.service` sessions.
@@ -50,6 +51,7 @@ from repro.store.query import (
     AlertQuery,
     EventQuery,
     TelemetryQuery,
+    params_from_query_string,
     query_from_params,
 )
 from repro.store.replay import detection_events_for_run
@@ -70,6 +72,7 @@ __all__ = [
     "detection_events_for_run",
     "export_world_timeline",
     "ingest_run_dir",
+    "params_from_query_string",
     "query_from_params",
     "store_events",
 ]

@@ -18,9 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import parse_qs
 
 #: default page size for event queries (servers and CLIs share it)
 DEFAULT_LIMIT = 1000
+
+#: singular URL spellings of the list-valued query fields
+LIST_PARAMS = {
+    "source": "sources",
+    "category": "categories",
+    "detector": "detectors",
+}
 
 
 def _in_clause(column: str, values: Sequence[Any]) -> Tuple[str, List[Any]]:
@@ -168,6 +176,27 @@ class TelemetryQuery:
             clauses.append("error IS NOT NULL")
         where = " AND ".join(clauses) if clauses else "1=1"
         return where, params
+
+
+def params_from_query_string(query_string: str) -> Dict[str, Any]:
+    """A percent-encoded URL query string → flat kwargs for
+    :func:`query_from_params`.
+
+    The singular spellings in :data:`LIST_PARAMS` (``source``) collect
+    into the query dataclass's plural field (``sources``) as a tuple,
+    whether repeated (``&source=M&source=phy``) or comma-joined
+    (``&source=M,phy``); every other key keeps its last value.
+    """
+    out: Dict[str, Any] = {}
+    for key, values in parse_qs(query_string).items():
+        target = LIST_PARAMS.get(key)
+        if target is not None:
+            out[target] = tuple(
+                item for value in values for item in value.split(",") if item
+            )
+        else:
+            out[key] = values[-1]
+    return out
 
 
 def query_from_params(cls, params: Dict[str, Any]):

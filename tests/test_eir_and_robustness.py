@@ -1,6 +1,5 @@
 """Tests: EIR discovery, lossy-medium failure injection, auth guards."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from repro.hci.eir import (
     eir_uuid16s,
     parse_eir,
 )
-from repro.hci.constants import ErrorCode
 
 
 class TestEirStructures:
@@ -124,23 +122,6 @@ class TestLossyMedium:
         world.run_for(60.0)
         assert op.success
         assert world.medium.frames_lost == 0
-
-    def test_loss_rate_shim_still_works_and_warns(self):
-        """The deprecated ``medium.loss_rate`` attribute keeps working
-        (routed through the fault subsystem) but warns."""
-        world = build_world(WorldConfig(seed=7))
-        with pytest.warns(DeprecationWarning):
-            world.medium.loss_rate = 1.0
-        assert world.medium.loss_rate == 1.0
-        m = world.add_device("M", LG_VELVET)
-        c = world.add_device("C", NEXUS_5X_A8)
-        m.power_on()
-        c.power_on()
-        world.run_for(0.5)
-        op = m.host.gap.pair(c.bd_addr)
-        world.run_for(60.0)
-        assert op.done and not op.success
-        assert world.medium.frames_lost > 0
 
     def test_sniffer_still_sees_lost_frames(self):
         from repro.attacks.eavesdrop import AirCapture

@@ -10,7 +10,12 @@ import pytest
 from repro.campaign.captures import attack_capture
 from repro.detect import replay_capture
 from repro.service import client as service_client
-from repro.service.server import IngestServer, enqueue_or_shed
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    IngestServer,
+    enqueue_or_shed,
+)
 from repro.service.session import SessionConfig, SessionManager
 from repro.service.websocket import accept_key
 
@@ -27,6 +32,21 @@ def run(coro):
 async def with_server(fn, **server_kwargs):
     async with IngestServer(**server_kwargs) as server:
         return await fn(server)
+
+
+async def raw_exchange(server, data):
+    """Send raw request bytes; ``(status, JSON body)`` of the reply,
+    status 0 when the server closes without answering."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        response = await reader.read()
+    finally:
+        writer.close()
+    head, _, body = response.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1]) if head else 0
+    return status, json.loads(body or b"{}")
 
 
 class TestHttp:
@@ -89,22 +109,33 @@ class TestHttp:
     def test_capture_query_params_select_tenant_and_detectors(
         self, attack_bytes
     ):
+        cases = [
+            ("tenant=acme&detectors=page-blocking", "acme",
+             ["page-blocking"]),
+            # percent-encoded values are decoded before use
+            ("tenant=acme&detectors=page-blocking%2Cctkd-anomaly", "acme",
+             ["page-blocking", "ctkd-anomaly"]),
+            ("tenant=lab%201&detectors=page-blocking", "lab 1",
+             ["page-blocking"]),
+        ]
+
         async def check(server):
-            status, verdict = await service_client.request(
-                server.host,
-                server.port,
-                "POST",
-                "/api/captures?tenant=acme&detectors=page-blocking",
-                attack_bytes,
-            )
-            assert status == 200
-            assert verdict["tenant"] == "acme"
-            assert verdict["detectors"] == ["page-blocking"]
-            assert set(verdict["max_scores"]) == {"page-blocking"}
+            for query, tenant, detectors in cases:
+                status, verdict = await service_client.request(
+                    server.host,
+                    server.port,
+                    "POST",
+                    f"/api/captures?{query}",
+                    attack_bytes,
+                )
+                assert status == 200, (query, verdict)
+                assert verdict["tenant"] == tenant
+                assert verdict["detectors"] == detectors
+                assert set(verdict["max_scores"]) == set(detectors)
             return server.manager
 
         manager = run(with_server(check))
-        assert "acme" in manager.tenants
+        assert {"acme", "lab 1"} <= set(manager.tenants)
 
     def test_metrics_endpoint_merges_tenants(self, attack_bytes):
         async def check(server):
@@ -156,6 +187,75 @@ class TestHttp:
                 server.host, server.port, "GET", "/api/sessions/s9999"
             )
             assert status == 404
+
+        run(with_server(check))
+
+
+class TestBadRequests:
+    """Client-caused errors are 4xx with an ``error`` body, never a 500
+    or a silent close."""
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /api/captures HTTP/1.1\r\nContent-Length: abc\r\n", 400),
+            (b"POST /api/captures HTTP/1.1\r\nContent-Length: -5\r\n", 400),
+            (b"garbage\r\n", 400),
+            (
+                b"POST /api/captures HTTP/1.1\r\nContent-Length: %d\r\n"
+                % (MAX_BODY_BYTES + 1),
+                413,
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"X-Pad: %s\r\n" % (b"a" * 1024) * (MAX_HEADER_BYTES // 1024),
+                431,
+            ),
+        ],
+        ids=["length-abc", "length-negative", "request-line", "body-413",
+             "headers-431"],
+    )
+    def test_malformed_request_is_4xx(self, head, status):
+        async def check(server):
+            return await raw_exchange(server, head + b"\r\n")
+
+        got, payload = run(with_server(check))
+        assert got == status
+        assert isinstance(payload.get("error"), str)
+
+    def test_unknown_detector_in_query_is_400(self, attack_bytes):
+        async def check(server):
+            status, payload = await service_client.request(
+                server.host,
+                server.port,
+                "POST",
+                "/api/captures?detectors=nope",
+                attack_bytes,
+            )
+            assert status == 400
+            assert "nope" in payload["error"]
+            assert server.manager.sessions == {}
+
+        run(with_server(check))
+
+    def test_unknown_detector_in_hello_is_error_frame(self):
+        async def check(server):
+            with pytest.raises(ConnectionError, match="nope"):
+                await service_client.open_stream(
+                    server.host, server.port, detectors=["nope"]
+                )
+            assert server.manager.sessions == {}
+
+        run(with_server(check))
+
+    def test_store_routes_without_store_are_400(self):
+        async def check(server):
+            for path in ("/api/runs", "/", "/run/x"):
+                status, payload = await service_client.request(
+                    server.host, server.port, "GET", path
+                )
+                assert status == 400, path
+                assert "no run store attached" in payload["error"]
 
         run(with_server(check))
 

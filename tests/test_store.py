@@ -10,10 +10,13 @@ pre-store JSONL path.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import json
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -37,9 +40,11 @@ from repro.store import (
     query_from_params,
     store_events,
 )
-from repro.store.server import StoreServer
+from repro.service.server import IngestServer
 
 RUN = "run-a"
+
+GOLDEN_API = Path(__file__).parent / "golden" / "store_api.jsonl"
 
 
 def _events():
@@ -320,21 +325,40 @@ class TestStoreTelemetrySink:
         assert info.summary["campaigns"][0]["scenario"] == "baseline-race"
 
 
+@contextlib.contextmanager
+def serving(store):
+    """An :class:`IngestServer` over ``store`` on a background event
+    loop, so blocking ``urllib`` clients can drive it; yields its URL."""
+    loop = asyncio.new_event_loop()
+    server = IngestServer(store=store)
+    loop.run_until_complete(server.start())
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.url
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        loop.run_until_complete(server.stop())
+        loop.close()
+
+
+def _fetch(url):
+    """``(status, body text)`` for a GET, error statuses included."""
+    try:
+        with urllib.request.urlopen(url) as response:
+            return response.status, response.read().decode("utf-8")
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read().decode("utf-8")
+
+
 class TestServer:
     @pytest.fixture()
     def base_url(self, store, run_dir):
         ingest_run_dir(store, run_dir)
-        server = StoreServer(store, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        try:
-            yield server.url
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+        with serving(store) as url:
+            yield url
 
     def _get(self, url):
         with urllib.request.urlopen(url) as response:
@@ -395,6 +419,37 @@ class TestServer:
         ) as response:
             page = response.read().decode()
         assert "page-blocking" in page and "Timeline" in page
+
+
+class TestStoreApiBytes:
+    """Every ``/api/runs…`` response status and body, byte for byte,
+    against ``tests/golden/store_api.jsonl`` (one ``[route, status,
+    body]`` per line, over the store :meth:`build` makes)."""
+
+    @staticmethod
+    def build(store):
+        store_events(store, RUN, _events())
+        store.add_telemetry(RUN, _records())
+        store.upsert_run(
+            RUN,
+            created_ts="2026-08-08T12:00:00Z",
+            trials=6,
+            errors=1,
+            wall_time_s=0.21,
+            summary={"trials": 6, "errors": 1},
+        )
+
+    def test_bodies_match_golden(self, store):
+        golden = [
+            json.loads(line)
+            for line in GOLDEN_API.read_text(encoding="utf-8").splitlines()
+        ]
+        self.build(store)
+        with serving(store) as url:
+            served = [
+                [route, *_fetch(url + route)] for route, _, _ in golden
+            ]
+        assert served == golden
 
 
 def _report_data():
