@@ -180,7 +180,13 @@ class SmpEngine:
         self._send(SmpPublicKey(point=self.keypair.public.to_bytes()))
 
     def _on_public_key(self, pdu: SmpPublicKey) -> None:
-        self.remote_point = EccPoint.from_bytes(P256, pdu.point)
+        try:
+            self.remote_point = EccPoint.from_bytes(P256, pdu.point)
+        except ValueError:
+            # An off-curve or malformed peer key ends the pairing here:
+            # no DHKey is ever computed against it.
+            self._fail(REASON_DHKEY_CHECK_FAILED)
+            return
         if self.initiator:
             return
         # Responder: reply with our key, then commit to our nonce.

@@ -1649,7 +1649,15 @@ class Controller:
             # Curve mismatch: downgrade to the weaker one (both sides
             # converge because the initiator announced first).
             session.curve = curve
-        session.peer_public = EccPoint.from_bytes(session.curve, pdu.public_key)
+        try:
+            session.peer_public = EccPoint.from_bytes(
+                session.curve, pdu.public_key
+            )
+        except ValueError:
+            # An off-curve or malformed peer key ends the pairing here:
+            # no DHKey is ever computed against it.
+            self._ssp_fail(link, ErrorCode.AUTHENTICATION_FAILURE)
+            return
         session.association = self._ssp_association(session)
         if session.role == "responder":
             session.keypair = self._ssp_keypair(session.curve)

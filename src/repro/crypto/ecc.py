@@ -2,9 +2,19 @@
 
 SSP performs an ECDH key agreement on NIST P-192 (Bluetooth 2.1–4.0)
 or P-256 (Secure Connections, 4.1+).  This module implements both
-curves from scratch: affine short-Weierstrass point arithmetic, a
-constant-pattern double-and-add scalar multiplication, key generation
-and the DHKey computation.
+curves from scratch: short-Weierstrass points, key generation and the
+DHKey computation.
+
+Scalar multiplication works in Jacobian coordinates, so it inverts a
+field element once per multiplication instead of once per point
+operation.  A variable base (the DHKey against a peer key) runs
+left-to-right double-and-add with the a = −3 doubling formula and
+mixed Jacobian+affine additions.  The generator (key generation) uses
+a fixed-base table of ``j·16^i·G`` built on first use, so a
+multiplication is one table addition per 4-bit digit and no doublings.
+Every point the module returns is checked against the curve equation,
+peer keys included.  The code is variable-time: it is for simulation,
+not for protecting real keys.
 
 The page blocking attack does not break this math — it sidesteps it by
 downgrading the association model to Just Works, where the legitimate
@@ -14,7 +24,7 @@ peers faithfully complete an ECDH exchange *with the attacker*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -124,17 +134,73 @@ class EccPoint:
         return EccPoint(self.curve, x3, y3)
 
     def __mul__(self, scalar: int) -> "EccPoint":
-        """Scalar multiplication by double-and-add."""
-        if scalar < 0:
-            return (-self) * (-scalar)
-        result = EccPoint.infinity(self.curve)
-        addend = self
-        while scalar:
-            if scalar & 1:
-                result = result + addend
-            addend = addend + addend
-            scalar >>= 1
-        return result
+        """Scalar multiplication ``scalar · self``.
+
+        Both curves have prime order n (cofactor 1), so the scalar is
+        reduced mod n first; a negative scalar needs no special case.
+        For 0 < k < n no partial sum below is ever ±(the point being
+        added), so neither loop meets a doubling-in-disguise or the
+        point at infinity.  The field arithmetic is written out in the
+        loop bodies: a helper call per step would cost more than the
+        arithmetic it saves.
+        """
+        curve = self.curve
+        k = scalar % curve.n
+        if k == 0 or self.x is None:
+            return EccPoint(curve, None, None)
+        p = curve.p
+        if self.x == curve.gx and self.y == curve.gy:
+            table = _GENERATOR_TABLES.get(curve.name)
+            if table is None:
+                table = _GENERATOR_TABLES[curve.name] = _generator_table(curve)
+            # k = Σ d_i·16^i, so k·G = Σ table[i][d_i]: additions only.
+            # Z == 0 stands for the empty sum until the first digit.
+            X = Y = Z = 0
+            for row in table:
+                digit = k & 15
+                if digit:
+                    x2, y2 = row[digit]
+                    if Z:
+                        zz = Z * Z % p
+                        h = (x2 * zz - X) % p
+                        r = (y2 * zz * Z - Y) % p
+                        hh = h * h % p
+                        hhh = h * hh % p
+                        v = X * hh % p
+                        X = (r * r - hhh - 2 * v) % p
+                        Y = (r * (v - X) - Y * hhh) % p
+                        Z = Z * h % p
+                    else:
+                        X, Y, Z = x2, y2, 1
+                k >>= 4
+                if not k:
+                    break
+        else:
+            x2, y2 = self.x, self.y
+            X, Y, Z = x2, y2, 1
+            for bit in bin(k)[3:]:
+                # doubling, a = −3: α = 3(X − Z²)(X + Z²)
+                delta = Z * Z % p
+                gamma = Y * Y % p
+                beta = X * gamma % p
+                alpha = 3 * (X - delta) * (X + delta) % p
+                Z = 2 * Y * Z % p
+                X = (alpha * alpha - 8 * beta) % p
+                Y = (alpha * (4 * beta - X) - 8 * gamma * gamma) % p
+                if bit == "1":
+                    # mixed addition of the affine base (x2, y2)
+                    zz = Z * Z % p
+                    h = (x2 * zz - X) % p
+                    r = (y2 * zz * Z - Y) % p
+                    hh = h * h % p
+                    hhh = h * hh % p
+                    v = X * hh % p
+                    X = (r * r - hhh - 2 * v) % p
+                    Y = (r * (v - X) - Y * hhh) % p
+                    Z = Z * h % p
+        zinv = pow(Z, -1, p)
+        zinv2 = zinv * zinv % p
+        return EccPoint(curve, X * zinv2 % p, Y * zinv2 * zinv % p)
 
     __rmul__ = __mul__
 
@@ -165,6 +231,84 @@ class EccPoint:
         if self.is_infinity:
             return f"EccPoint({self.curve.name}, infinity)"
         return f"EccPoint({self.curve.name}, x={self.x:#x})"
+
+
+#: rows of affine points; ``row[0]`` is unused
+_Table = List[Tuple[Optional[Tuple[int, int]], ...]]
+
+#: curve name -> fixed-base table, filled by the first generator multiplication
+_GENERATOR_TABLES: Dict[str, _Table] = {}
+
+
+def _generator_table(curve: CurveParams) -> _Table:
+    """Affine ``j·16^i·G`` at ``table[i][j]`` for j in 1..15, one row per
+    4-bit digit of n (``table[i][0]`` is unused).
+
+    The rows are built in Jacobian coordinates and normalised together
+    with one Montgomery batch inversion: about 0.14 MB for P-256.
+    """
+    p = curve.p
+    jacobian: List[Tuple[int, int, int]] = []
+    base = (curve.gx, curve.gy, 1)
+    for _ in range((curve.n.bit_length() + 3) // 4):
+        row = [base, _jacobian_double(base, p)]
+        while len(row) < 15:
+            row.append(_jacobian_add(row[-1], base, p))
+        jacobian.extend(row)
+        base = _jacobian_double(row[7], p)  # 16·base starts the next row
+    prefix = []
+    product = 1
+    for _, _, z in jacobian:
+        prefix.append(product)
+        product = product * z % p
+    inverse = pow(product, -1, p)  # 1 / (z_0 · … · z_last)
+    affine: List[Tuple[int, int]] = [(0, 0)] * len(jacobian)
+    for index in range(len(jacobian) - 1, -1, -1):
+        x, y, z = jacobian[index]
+        zinv = inverse * prefix[index] % p
+        inverse = inverse * z % p
+        zinv2 = zinv * zinv % p
+        affine[index] = (x * zinv2 % p, y * zinv2 * zinv % p)
+    return [
+        (None, *affine[start : start + 15])
+        for start in range(0, len(affine), 15)
+    ]
+
+
+def _jacobian_double(
+    point: Tuple[int, int, int], p: int
+) -> Tuple[int, int, int]:
+    """2·P in Jacobian coordinates (a = −3); table construction only."""
+    x, y, z = point
+    delta = z * z % p
+    gamma = y * y % p
+    beta = x * gamma % p
+    alpha = 3 * (x - delta) * (x + delta) % p
+    x3 = (alpha * alpha - 8 * beta) % p
+    return (
+        x3,
+        (alpha * (4 * beta - x3) - 8 * gamma * gamma) % p,
+        2 * y * z % p,
+    )
+
+
+def _jacobian_add(
+    first: Tuple[int, int, int], second: Tuple[int, int, int], p: int
+) -> Tuple[int, int, int]:
+    """P + Q in Jacobian coordinates for P ≠ ±Q; table construction only."""
+    x1, y1, z1 = first
+    x2, y2, z2 = second
+    z1z1 = z1 * z1 % p
+    z2z2 = z2 * z2 % p
+    u1 = x1 * z2z2 % p
+    s1 = y1 * z2z2 * z2 % p
+    h = (x2 * z1z1 - u1) % p
+    r = (y2 * z1z1 * z1 - s1) % p
+    hh = h * h % p
+    hhh = h * hh % p
+    v = u1 * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return x3, (r * (v - x3) - s1 * hhh) % p, z1 * z2 * h % p
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.scenario import WorldConfig, build_world
-from repro.ble.smp import JUST_WORKS, NUMERIC_COMPARISON
+from repro.ble.pdus import SmpPublicKey
+from repro.ble.smp import JUST_WORKS, NUMERIC_COMPARISON, REASON_DHKEY_CHECK_FAILED
 from repro.ble.stack import BleStack
 from repro.core.types import BdAddr
 from repro.crypto.smp import bredr_link_key_from_le_ltk
@@ -108,6 +109,30 @@ class TestPairing:
         pairing = c.ble.pair(p.bd_addr)
         world.run_for(5.0)
         assert pairing.done and not pairing.success
+
+
+    @pytest.mark.parametrize("liar", ["peripheral", "central"])
+    def test_off_curve_public_key_fails_pairing_without_bond(self, liar):
+        # A peer announcing the off-curve point (1, 1) as its SMP public
+        # key fails the pairing; it must not raise out of the simulation.
+        world, c, p = _le_world()
+        stack = (p if liar == "peripheral" else c).ble
+        honest_send = stack._send_smp
+
+        def send(conn, pdu):
+            if isinstance(pdu, SmpPublicKey):
+                pdu = SmpPublicKey(point=(1).to_bytes(32, "big") * 2)
+            honest_send(conn, pdu)
+
+        stack._send_smp = send
+        _connect(world, c, p)
+        pairing = c.ble.pair(p.bd_addr)
+        world.run_for(5.0)
+        assert pairing.done and not pairing.success
+        assert pairing.status == REASON_DHKEY_CHECK_FAILED
+        for side, peer in ((c, p), (p, c)):
+            assert side.ble.security.le_ltk_for(peer.bd_addr) is None
+            assert side.ble.security.bond_for(peer.bd_addr) is None
 
 
 class TestCtkd:

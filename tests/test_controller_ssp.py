@@ -1,8 +1,12 @@
 """Controller tests: Secure Simple Pairing end to end."""
 
+import dataclasses
+
 import pytest
 
+from repro.controller import lmp
 from repro.core.types import IoCapability, LinkKeyType
+from repro.hci.constants import ErrorCode
 from repro.devices.catalog import NEXUS_5X_A8, LG_VELVET, WINDOWS_MS_DRIVER
 
 
@@ -107,6 +111,38 @@ class TestRejectedPairing:
         op = c.host.gap.pair(m.bd_addr)
         world.run_for(20.0)
         assert op.done and not op.success
+
+
+def _send_off_curve_key(device):
+    """Make ``device`` announce the off-curve point (1, 1) as its SSP
+    public key, the way a malicious or broken peer controller would."""
+    controller = device.controller
+    honest_send = controller._send_lmp
+
+    def send(link, pdu):
+        if isinstance(pdu, lmp.LmpEncapsulatedKey):
+            size = len(pdu.public_key) // 2
+            bad = (1).to_bytes(size, "big") * 2
+            pdu = dataclasses.replace(pdu, public_key=bad)
+        honest_send(link, pdu)
+
+    controller._send_lmp = send
+
+
+class TestInvalidPeerKey:
+    """An off-curve ECDH public key fails the pairing; it must not raise
+    out of the simulation."""
+
+    @pytest.mark.parametrize("liar", ["responder", "initiator"])
+    def test_off_curve_key_fails_pairing_without_bond(self, pair, liar):
+        world, m, c = pair
+        _send_off_curve_key(c if liar == "responder" else m)
+        op = m.host.gap.pair(c.bd_addr)
+        world.run_for(20.0)
+        assert op.done and not op.success
+        assert op.status == ErrorCode.AUTHENTICATION_FAILURE
+        assert not m.host.security.is_bonded(c.bd_addr)
+        assert not c.host.security.is_bonded(m.bd_addr)
 
 
 class TestLegacyP192:
