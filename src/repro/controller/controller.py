@@ -327,11 +327,12 @@ class Controller:
 
     @property
     def inquiry_scan_enabled(self) -> bool:
-        return self.scan_enable.inquiry_scan
+        # Plain bit test: the radio asks every controller on every inquiry.
+        return bool(self.scan_enable & 0x01)
 
     @property
     def page_scan_enabled(self) -> bool:
-        return self.scan_enable.page_scan
+        return bool(self.scan_enable & 0x02)
 
     @property
     def page_scan_interval_s(self) -> float:

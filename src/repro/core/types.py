@@ -45,11 +45,11 @@ class BdAddr:
         """Build from the 6 little-endian bytes of an HCI packet."""
         if len(raw) != 6:
             raise ValueError(f"BD_ADDR wire form must be 6 bytes, got {len(raw)}")
-        return cls(bytes(reversed(raw)))
+        return cls(bytes(raw[::-1]))
 
     def to_hci_bytes(self) -> bytes:
         """Little-endian wire order used inside HCI packets."""
-        return bytes(reversed(self.value))
+        return self.value[::-1]
 
     @property
     def lap(self) -> int:
@@ -101,14 +101,14 @@ class LinkKey:
 
     def to_hci_bytes(self) -> bytes:
         """Little-endian wire order used inside HCI packets."""
-        return bytes(reversed(self.value))
+        return self.value[::-1]
 
     @classmethod
     def from_hci_bytes(cls, raw: bytes) -> "LinkKey":
         """Build from the 16 little-endian bytes of an HCI packet."""
         if len(raw) != 16:
             raise ValueError(f"link key wire form must be 16 bytes, got {len(raw)}")
-        return cls(bytes(reversed(raw)))
+        return cls(bytes(raw[::-1]))
 
     def __str__(self) -> str:
         return self.hex()

@@ -21,11 +21,10 @@ from typing import Optional
 
 from repro.core.errors import TransportError
 from repro.hci.constants import EventCode, Opcode, PacketIndicator
-from repro.hci.packets import HciPacket
 from repro.sim.eventloop import Simulator
 from repro.transport.base import Direction
 from repro.transport.uart import UartH4Transport
-from repro.transport.usb import UsbTransfer, UsbTransport
+from repro.transport.usb import UsbTransport
 
 #: wire prefixes of the packets whose payload must be protected
 PROTECTED_SIGNATURES = (
@@ -102,27 +101,16 @@ class SecureUsbTransport(UsbTransport):
         self._nonce = 0
         self.protected_packets = 0
 
-    def _capture(self, packet: HciPacket, direction: Direction) -> None:
-        endpoint = self._endpoint_for(packet, direction)
-        raw = packet.to_bytes()
-        offset = _protected_span(packet.to_h4_bytes())
-        if offset is not None:
-            self.protected_packets += 1
-            nonce = self._nonce
-            self._nonce += 1
-            body_offset = offset - 1  # USB payloads carry no indicator
-            raw = raw[:body_offset] + self.cipher.process(
-                nonce, raw[body_offset:]
-            )
-        transfer = UsbTransfer(self.simulator.now, endpoint, raw)
-        self._transfers.append(transfer)
-        for sniffer in self._sniffers:
-            sniffer.observe(transfer)
-        if self.idle_null_transfers:
-            null = UsbTransfer(self.simulator.now, 0x81, b"")
-            self._transfers.append(null)
-            for sniffer in self._sniffers:
-                sniffer.observe(null)
+    def bus_image(self, h4: bytes) -> bytes:
+        raw = h4[1:]
+        offset = _protected_span(h4)
+        if offset is None:
+            return raw
+        self.protected_packets += 1
+        nonce = self._nonce
+        self._nonce += 1
+        body_offset = offset - 1  # USB payloads carry no indicator
+        return raw[:body_offset] + self.cipher.process(nonce, raw[body_offset:])
 
 
 class SecureUartTransport(UartH4Transport):

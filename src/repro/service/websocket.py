@@ -45,6 +45,21 @@ def accept_key(client_key: str) -> str:
     return base64.b64encode(digest).decode("ascii")
 
 
+def apply_mask(payload: bytes, key: bytes) -> bytes:
+    """XOR ``payload`` with the 4-byte ``key`` repeated (RFC 6455 §5.3).
+
+    Masking and unmasking are the same operation.  One big-integer XOR
+    instead of a Python step per byte.
+    """
+    length = len(payload)
+    if not length:
+        return b""
+    stream = (key * (length // 4 + 1))[:length]
+    return (
+        int.from_bytes(payload, "little") ^ int.from_bytes(stream, "little")
+    ).to_bytes(length, "little")
+
+
 def encode_frame(
     payload: bytes, opcode: int = OP_TEXT, mask: bool = False
 ) -> bytes:
@@ -63,16 +78,19 @@ def encode_frame(
     if mask:
         key = os.urandom(4)
         header += key
-        payload = bytes(
-            byte ^ key[index % 4] for index, byte in enumerate(payload)
-        )
+        payload = apply_mask(payload, key)
     return bytes(header) + payload
 
 
 async def read_frame(
-    reader: asyncio.StreamReader,
+    reader: asyncio.StreamReader, require_mask: bool = False
 ) -> Tuple[int, bytes]:
-    """Read one frame; returns ``(opcode, unmasked payload)``."""
+    """Read one frame; returns ``(opcode, unmasked payload)``.
+
+    A server passes ``require_mask=True``: RFC 6455 §5.1 has it fail
+    the connection on an unmasked client frame.  Clients read the
+    server's frames, which are never masked.
+    """
     try:
         head = await reader.readexactly(2)
     except (asyncio.IncompleteReadError, ConnectionError) as exc:
@@ -82,6 +100,8 @@ async def read_frame(
     if not fin or opcode == OP_CONT:
         raise WebSocketError("fragmented frames are not supported")
     masked = head[1] & 0x80
+    if require_mask and not masked:
+        raise WebSocketError("client frames must be masked")
     length = head[1] & 0x7F
     try:
         if length == 126:
@@ -95,9 +115,7 @@ async def read_frame(
     except (asyncio.IncompleteReadError, ConnectionError) as exc:
         raise WebSocketError("connection closed mid-frame") from exc
     if masked:
-        payload = bytes(
-            byte ^ key[index % 4] for index, byte in enumerate(payload)
-        )
+        payload = apply_mask(payload, key)
     return opcode, payload
 
 
@@ -128,7 +146,9 @@ class WebSocket:
         :class:`WebSocketError` with a one-line reason.
         """
         while True:
-            opcode, payload = await read_frame(self.reader)
+            opcode, payload = await read_frame(
+                self.reader, require_mask=not self.mask
+            )
             if opcode == OP_PING:
                 self.writer.write(
                     encode_frame(payload, OP_PONG, mask=self.mask)

@@ -30,14 +30,15 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A single scheduled callback.
+    """A single scheduled callback: the handle ``schedule`` returns.
 
-    Events order by ``(time, sequence)`` so the heap pops them in
-    schedule order for equal timestamps.  A ``__slots__`` class with a
-    hand-rolled ``__lt__`` rather than an ordered dataclass: scheduling
-    is *the* allocation hot path once worlds hold hundreds of ambient
-    devices, and slots cut both the per-event footprint and the
-    tuple-building comparison cost dataclass ordering pays.
+    Events no longer carry a hand-rolled ``__lt__`` (or ``__eq__``):
+    the simulator's heap holds ``(time, sequence, event)`` tuples, so
+    the heap compares floats and ints in C and pops equal timestamps in
+    schedule order, and the unique sequence number means two entries
+    never tie far enough to compare the events themselves.  A
+    ``__slots__`` class because scheduling is *the* allocation hot path
+    once worlds hold hundreds of ambient devices.
     """
 
     __slots__ = (
@@ -62,16 +63,6 @@ class Event:
         #: late cancels must not disturb the live count.
         self.popped = False
         self._owner = _owner
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.sequence == other.sequence
 
     def __repr__(self) -> str:
         return (
@@ -102,7 +93,8 @@ class Simulator:
 
     def __init__(self, metrics: Optional["MetricsRegistry"] = None) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
+        #: heap of ``(time, sequence, event)``
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._running = False
         self._processed = 0
@@ -132,11 +124,10 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay}s in the past")
         # Inlined schedule_at: this is the hottest call in fleet-scale
         # worlds, and the extra frame was measurable.
-        event = Event(
-            self._now + delay, next(self._sequence), callback, args,
-            _owner=self,
-        )
-        heappush(self._queue, event)
+        when = self._now + delay
+        sequence = next(self._sequence)
+        event = Event(when, sequence, callback, args, self)
+        heappush(self._queue, (when, sequence, event))
         self._live += 1
         return event
 
@@ -148,8 +139,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} before now={self._now}"
             )
-        event = Event(when, next(self._sequence), callback, args, _owner=self)
-        heappush(self._queue, event)
+        sequence = next(self._sequence)
+        event = Event(when, sequence, callback, args, self)
+        heappush(self._queue, (when, sequence, event))
         self._live += 1
         return event
 
@@ -180,15 +172,14 @@ class Simulator:
         queue = self._queue
         try:
             while queue:
-                event = queue[0]
-                if until is not None and event.time > until:
+                if until is not None and queue[0][0] > until:
                     break
-                heappop(queue)
+                when, _, event = heappop(queue)
                 event.popped = True
                 if event.cancelled:
                     continue
                 self._live -= 1
-                self._now = event.time
+                self._now = when
                 if instrumented:
                     if self._live > max_depth:
                         max_depth = self._live

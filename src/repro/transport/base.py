@@ -88,37 +88,22 @@ class HciTransport:
 
     def send_from_host(self, packet: HciPacket) -> None:
         """Host sends a packet down to the controller."""
-        raw = self.frame(packet)
-        self._feed_taps(
-            Direction.HOST_TO_CONTROLLER,
-            self.wire_image(Direction.HOST_TO_CONTROLLER, raw),
-        )
-        if self._controller_receiver is None:
-            raise TransportError(f"{self.name}: no controller attached")
-        self.packets_sent += 1
-        self._dispatch(
-            Direction.HOST_TO_CONTROLLER, raw, self._controller_receiver
-        )
+        self._send(Direction.HOST_TO_CONTROLLER, self.frame(packet))
 
     def send_from_controller(self, packet: HciPacket) -> None:
         """Controller sends a packet up to the host."""
-        raw = self.frame(packet)
-        self._feed_taps(
-            Direction.CONTROLLER_TO_HOST,
-            self.wire_image(Direction.CONTROLLER_TO_HOST, raw),
-        )
-        if self._host_receiver is None:
-            raise TransportError(f"{self.name}: no host attached")
-        self.packets_sent += 1
-        self._dispatch(Direction.CONTROLLER_TO_HOST, raw, self._host_receiver)
+        self._send(Direction.CONTROLLER_TO_HOST, self.frame(packet))
 
-    def _dispatch(
-        self,
-        direction: Direction,
-        raw: bytes,
-        receiver: Callable[[bytes], None],
-    ) -> None:
-        """Deliver wire bytes, consulting the fault injector if any."""
+    def _send(self, direction: Direction, raw: bytes) -> None:
+        """Feed the taps, then deliver wire bytes via the fault injector."""
+        self._feed_taps(direction, self.wire_image(direction, raw))
+        if direction is Direction.HOST_TO_CONTROLLER:
+            receiver, side = self._controller_receiver, "controller"
+        else:
+            receiver, side = self._host_receiver, "host"
+        if receiver is None:
+            raise TransportError(f"{self.name}: no {side} attached")
+        self.packets_sent += 1
         delay = self.latency_for(raw)
         if self.fault_injector is not None:
             fate = self.fault_injector(

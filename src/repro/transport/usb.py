@@ -85,11 +85,17 @@ class UsbTransport(HciTransport):
             return ENDPOINT_BULK_OUT
         return ENDPOINT_BULK_IN
 
-    def _capture(self, packet: HciPacket, direction: Direction) -> None:
+    def bus_image(self, h4: bytes) -> bytes:
+        """The transfer payload for an H4 frame (secure transports encrypt).
+
+        The USB transport does not carry the H4 indicator byte — the
+        endpoint itself identifies the packet type.
+        """
+        return h4[1:]
+
+    def _capture(self, packet: HciPacket, direction: Direction, h4: bytes) -> None:
         endpoint = self._endpoint_for(packet, direction)
-        # The USB transport does not carry the H4 indicator byte — the
-        # endpoint itself identifies the packet type.
-        transfer = UsbTransfer(self.simulator.now, endpoint, packet.to_bytes())
+        transfer = UsbTransfer(self.simulator.now, endpoint, self.bus_image(h4))
         self._transfers.append(transfer)
         for sniffer in self._sniffers:
             sniffer.observe(transfer)
@@ -102,12 +108,14 @@ class UsbTransport(HciTransport):
                 sniffer.observe(null)
 
     def send_from_host(self, packet: HciPacket) -> None:
-        self._capture(packet, Direction.HOST_TO_CONTROLLER)
-        super().send_from_host(packet)
+        raw = self.frame(packet)
+        self._capture(packet, Direction.HOST_TO_CONTROLLER, raw)
+        self._send(Direction.HOST_TO_CONTROLLER, raw)
 
     def send_from_controller(self, packet: HciPacket) -> None:
-        self._capture(packet, Direction.CONTROLLER_TO_HOST)
-        super().send_from_controller(packet)
+        raw = self.frame(packet)
+        self._capture(packet, Direction.CONTROLLER_TO_HOST, raw)
+        self._send(Direction.CONTROLLER_TO_HOST, raw)
 
     @property
     def transfers(self) -> List[UsbTransfer]:

@@ -12,8 +12,9 @@ there), then the *median* of the repeats.  The old min-of-repeats
 divided the best-case outlier of one distribution by the best-case
 outlier of another, so the recorded enabled-overhead ratio swung from
 ~14% to ~54% run to run.  Warm-up + median compares typical runs to
-typical runs and lands reproducibly near ~40% (``BENCH_obs.json``
-records 0.41) — the honest post-instrument-caching figure (down from
+typical runs and lands reproducibly near ~40% (recorded as
+``BENCH_campaign.json`` ``obs_overhead_enabled.overhead``, the one
+record of this figure) — the honest post-instrument-caching figure (down from
 the pre-caching 57%); the ~11% once claimed in the changelog was
 itself a lucky-minimum artifact.
 
@@ -101,18 +102,6 @@ def test_enabled_registry_stays_cheap_enough_for_benchmarks():
             "bare_s": bare,
             "enabled_s": enabled,
             "overhead": enabled / bare - 1,
-        },
-    )
-    record_bench(
-        "obs",
-        "hot_loop_overhead",
-        {
-            "events": EVENTS,
-            # the last measurement before histogram observations were
-            # buffered and the loop's counter/gauge flushed once per
-            # run (per-event inc/set + eager bucket fold)
-            "before_overhead": 0.5705,
-            "after_overhead": enabled / bare - 1,
         },
     )
     # Live counters + the wall-time histogram may cost real work, but

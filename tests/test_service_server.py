@@ -17,7 +17,7 @@ from repro.service.server import (
     enqueue_or_shed,
 )
 from repro.service.session import SessionConfig, SessionManager
-from repro.service.websocket import accept_key
+from repro.service.websocket import OP_CLOSE, OP_TEXT, accept_key, encode_frame
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +307,36 @@ class TestWebSocket:
                 assert verdict["session"] == welcome["session"]
             finally:
                 await ws.close()
+
+        run(with_server(check))
+
+    def test_unmasked_client_frame_fails_the_connection(self):
+        """RFC 6455 §5.1: a server must close on an unmasked client frame."""
+
+        async def check(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                writer.write(
+                    b"GET /ws/ingest HTTP/1.1\r\n"
+                    b"Host: test\r\n"
+                    b"Upgrade: websocket\r\n"
+                    b"Connection: Upgrade\r\n"
+                    b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                    b"Sec-WebSocket-Version: 13\r\n\r\n"
+                )
+                hello = json.dumps({"type": "hello", "protocol": 1}).encode()
+                writer.write(encode_frame(hello, OP_TEXT, mask=False))
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), timeout=5)
+            finally:
+                writer.close()
+            head, _, frames = response.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 101")
+            # no welcome: the only frame back is the server's close
+            assert frames == encode_frame(b"", OP_CLOSE)
+            assert server.manager.sessions == {}
 
         run(with_server(check))
 

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.eventloop import SimulationError, Simulator
 
@@ -179,3 +181,109 @@ def test_not_reentrant():
     sim.schedule(1.0, reenter)
     sim.run()
     assert len(errors) == 1
+
+
+class TestHeapOrder:
+    """The heap holds ``(time, sequence, event)``: order is time, then
+    schedule order, whichever of ``schedule``/``schedule_at`` was used."""
+
+    def test_fifo_at_equal_times_across_schedule_and_schedule_at(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.schedule(0.5, fired.append, "first")
+        sim.schedule(1.0, fired.append, "c")
+        sim.schedule_at(1.0, fired.append, "d")
+        sim.run()
+        assert fired == ["first", "a", "b", "c", "d"]
+
+    def test_schedule_at_now_runs_after_earlier_same_time_events(self):
+        sim = Simulator()
+        fired = []
+
+        def at_one():
+            fired.append("at-one")
+            sim.schedule_at(sim.now, fired.append, "same-time")
+            sim.schedule(0.0, fired.append, "zero-delay")
+
+        sim.schedule_at(1.0, at_one)
+        sim.schedule_at(1.0, fired.append, "queued-before")
+        sim.run()
+        assert fired == ["at-one", "queued-before", "same-time", "zero-delay"]
+        assert sim.now == 1.0
+
+    def test_schedule_at_returns_a_cancellable_event(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule_at(2.0, fired.append, "x")
+        assert (event.time, event.popped, event.cancelled) == (2.0, False, False)
+        event.cancel()
+        assert sim.pending == 0
+        sim.run()
+        assert fired == []
+        assert event.popped
+
+    def test_cancel_after_pop_leaves_pending_alone(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert first.popped and sim.pending == 1
+        first.cancel()
+        assert not first.cancelled
+        assert sim.pending == 1
+        sim.run()
+        assert sim.pending == 0
+        assert sim.events_processed == 2
+
+    def test_cancelled_events_do_not_count_against_max_events(self):
+        sim = Simulator()
+        for index in range(10):
+            event = sim.schedule(1.0, lambda: None)
+            if index % 2:
+                event.cancel()
+        sim.run(max_events=5)  # five live events: inside the guard
+        assert sim.events_processed == 5
+        for _ in range(5):
+            sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=4)
+
+    def test_events_are_not_ordered_by_themselves(self):
+        sim = Simulator()
+        early = sim.schedule(1.0, lambda: None)
+        late = sim.schedule(2.0, lambda: None)
+        with pytest.raises(TypeError):
+            early < late  # noqa: B015 - ordering lives in the heap tuples
+        assert early != late
+        assert early == early
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["delay", "at"]),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0]),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_pop_order_is_time_then_schedule_order(self, ops):
+        sim = Simulator()
+        fired = []
+        expected = []
+        for index, (how, when, cancel) in enumerate(ops):
+            if how == "delay":
+                event = sim.schedule(when, fired.append, index)
+            else:
+                event = sim.schedule_at(when, fired.append, index)
+            if cancel:
+                event.cancel()
+            else:
+                expected.append((when, index))
+        assert sim.pending == len(expected)
+        sim.run()
+        assert fired == [index for _, index in sorted(expected)]
+        assert sim.pending == 0
